@@ -1,5 +1,7 @@
 """Smoke + shape tests for the experiment regenerators and the CLI."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments import (
@@ -12,6 +14,36 @@ from repro.experiments.common import build_platform, run_workload_experiment
 from repro.experiments.runner import EXPERIMENTS, main, run_experiment
 from repro.sim import Environment
 from repro.workloads import LINPACK
+
+
+#: sha256 of each rendered report: the pins that make refactoring safe.
+#: Rule: a digest may change only in a change whose CHANGES.md entry
+#: names the experiment and why its output moved.
+REPORT_SHA256 = {
+    "table1": "c675e29fbc85b3c08378dd5197438f94413559f1b7a9b5717ea0febd8ef23b69",
+    "sec3e": "ee8086864d2876705979bbce793168b2c77fb9513c8277b3a37c292a8293687e",
+    "fig1": "228afa8362e312f98d928160290e4f4c6527a4ce68ebc45a8814305d375c31e1",
+    "fig3": "1c6a5fa0ebacca1bf355d6ffdca240e4ea4a534cc97e4a525ee42c279049c071",
+    "fig9": "51aff85729c6407d84f42328371de5e06b466b96831da9b3faa9b709435d125b",
+    "table2": "8d30f46131d35cefd4e3ecdfb91415b27f3669d43f52efa4b7afb14077daece6",
+    "fig2": "1d21964b5cc027e6022f954f005f471cff83b95894a4a659531da76a9600f4ea",
+    "fig10": "0162c4f72d781e7aac8baded957b4608a9064bd4fca5faa6fcd622c7b47e5ebd",
+    "fig11": "eb0be3e25ff8c4ef7bcdc83c7374fc3dcf6dadb0bb647712d5dbe3763d6471db",
+    "battery-3-0.5": "578fe158d53785a34df2630cfce4ca0acbf9a2d0cfa1253863be7b3008228eda",
+    "battery-2-0.25": "d4f0a2c372b8eda10e9fe3597a9c08fdc83088a237ce9030225bdb28bdbb9ceb",
+    "sensitivity": "dfa17f5e0a967cc66996fb30f6b86f34c5836a12237bd79f7d28325dc0e79ff9",
+    "scorecard": "a143be6fd8c55b2a5a48e75e477d4f17bdfe44713b69dcf6bf33fe6a6f9a23fe",
+    "fig6": "7a039faf1c2e619053e0814ede1dd1fc2acd3438a12f51a138b6ad63076082ea",
+    "density": "6750b5b929076568b1d79642f4844a745afdb2a985a55e49863f08622eaa94da",
+    "ablations": "3501965f5901061beaf1171c8eaccedc77ffbcc917edb7021e02308c3f71aa7d",
+    "chaos": "8457997c33c074be89ef3643661d49603b1c914b1f5eabd188fb3c705687bd11",
+}
+
+
+def assert_pinned(name, text):
+    """``text`` must hash to the digest recorded for ``name``."""
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == REPORT_SHA256[name], f"{name} report moved: {digest}"
 
 
 def test_build_platform_names():
@@ -71,6 +103,7 @@ def test_runner_cli_runs_single_experiment(capsys):
 
 def test_table1_report_text():
     text = table1_overheads.report(table1_overheads.run())
+    assert_pinned("table1", text)
     assert "28.72 s" in text
     assert "16.4" in text
     assert "7.1 MB" in text
@@ -78,11 +111,13 @@ def test_table1_report_text():
 
 def test_sec3e_report_text():
     text = section3e_redundancy.report(section3e_redundancy.run())
+    assert_pinned("sec3e", text)
     assert "4372" in text and "771" in text
 
 
 def test_fig1_report_renders_all_workloads():
     text = fig1_phases.report(fig1_phases.run())
+    assert_pinned("fig1", text)
     for workload in ("ocr", "chess", "virusscan", "linpack"):
         assert workload in text
 
@@ -90,6 +125,7 @@ def test_fig1_report_renders_all_workloads():
 def test_fig3_report_composition_sums():
     data = fig3_datacomp.run()
     text = fig3_datacomp.report(data)
+    assert_pinned("fig3", text)
     assert "VM id" in text
     for per_vm in data.values():
         for row in per_vm:
@@ -103,6 +139,7 @@ def test_fig9_report_contains_speedups():
     from repro.experiments import fig9_performance
 
     text = fig9_performance.report(fig9_performance.run())
+    assert_pinned("fig9", text)
     assert "prep W/O" in text and "exec Rattrap" in text
     assert "rattrap-wo" in text
 
@@ -111,6 +148,7 @@ def test_table2_report_compares_to_paper():
     from repro.experiments import table2_migrated
 
     text = table2_migrated.report(table2_migrated.run())
+    assert_pinned("table2", text)
     assert "29440" in text or "29,440" in text  # paper column present
     assert "measured vs paper" in text
 
@@ -119,6 +157,7 @@ def test_fig2_report_sparklines():
     from repro.experiments import fig2_serverload
 
     text = fig2_serverload.report(fig2_serverload.run())
+    assert_pinned("fig2", text)
     assert "CPU %" in text and "MB/s" in text
 
 
@@ -126,6 +165,7 @@ def test_fig10_report_all_scenarios():
     from repro.experiments import fig10_power
 
     text = fig10_power.report(fig10_power.run())
+    assert_pinned("fig10", text)
     for scenario in ("lan-wifi", "wan-wifi", "3g", "4g"):
         assert scenario in text
 
@@ -134,6 +174,7 @@ def test_fig11_report_paper_columns():
     from repro.experiments import fig11_trace_cdf
 
     text = fig11_trace_cdf.report(fig11_trace_cdf.run())
+    assert_pinned("fig11", text)
     assert "cold boots" in text
     assert "54.0" in text  # paper reference value shown alongside
 
@@ -149,6 +190,7 @@ def test_battery_experiment_orderings():
     rt = data["rattrap"]["joules_per_device_day"]
     assert rt < wo < vm < local
     text = battery.report(data)
+    assert_pinned("battery-3-0.5", text)
     assert "battery" in text.lower()
 
 
@@ -163,6 +205,7 @@ def test_sensitivity_experiment_monotone():
     assert cpu == sorted(cpu)
     assert io == sorted(io)
     text = sensitivity.report(data)
+    assert_pinned("sensitivity", text)
     assert "Sensitivity" in text
 
 
@@ -204,6 +247,7 @@ def test_scorecard_all_claims_pass():
     assert not failing, f"claims out of band: {[(c.artifact, c.claim) for c in failing]}"
     assert len(checks) >= 12
     text = scorecard.report(checks)
+    assert_pinned("scorecard", text)
     assert f"{len(checks)}/{len(checks)} claims reproduced" in text
 
 
@@ -217,6 +261,7 @@ def test_fig6_report_skipped_stages():
     assert totals["android-vm"] == pytest.approx(28.72, rel=0.02)
     assert totals["cac-optimized"] == pytest.approx(1.75, rel=0.02)
     text = fig6_boot.report(data)
+    assert_pinned("fig6", text)
     assert "skips entirely" in text
     assert "load_kernel_ramdisk" in text
 
@@ -225,6 +270,7 @@ def test_density_report_text():
     from repro.experiments import density
 
     text = density.report(density.run())
+    assert_pinned("density", text)
     assert "Rattrap 128 tenants" in text or "Rattrap" in text
     assert "OOM" in text
 
@@ -233,4 +279,17 @@ def test_battery_report_savings_line():
     from repro.experiments import battery
 
     text = battery.report(battery.run(users=2, days=0.25))
+    assert_pinned("battery-2-0.25", text)
     assert "less device energy" in text
+
+
+def test_ablations_report_pinned():
+    from repro.experiments import ablations
+
+    assert_pinned("ablations", ablations.report(ablations.run()))
+
+
+def test_chaos_report_pinned():
+    from repro.experiments import chaos
+
+    assert_pinned("chaos", chaos.report(chaos.run()))

@@ -6,6 +6,7 @@ tiling on every path, the budget-abort same-tick race), the
 QoSBudgetBook, and the partition experiment's Pareto headline.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -514,5 +515,10 @@ def test_partition_experiment_pareto_headline():
     for m in data.values():
         assert m["phase_sum_s"] == pytest.approx(m["e2e_sum_s"], rel=1e-9)
     text = partition.report(data)
+    # Pinned report (rule: the digest may change only in a change whose
+    # CHANGES.md entry names this experiment and why its output moved).
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6d9670b27ea3a07a86e5b166527eb3d8de45b7d84f631fe16c9449f3f562bbb4"
+    )
     assert "Pareto-dominates" in text
     assert "span cover %" in text

@@ -6,6 +6,8 @@ with burn-on-over-quota, warm-pool reservation floors, the adversary
 library, and the abuse experiment's smoke configuration.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -329,6 +331,11 @@ def test_abuse_cells_cover_all_scenarios_and_arms():
 def test_abuse_smoke_scorecard_contains_all_attacks():
     data = abuse.run(seed=1, jobs=0, smoke=True)
     report = abuse.report(data)
+    # Pinned report (rule: the digest may change only in a change whose
+    # CHANGES.md entry names this experiment and why its output moved).
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "a14749a794d624db5353a280a834f723b0497c4f8d6603bb0a55ff7bf744eee4"
+    )
     assert "attack classes contained" in report
     for scenario in abuse.SCENARIOS:
         assert scenario in report
