@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench bench-compare experiments chaos abuse abuse-smoke \
 	scale predictive megascale megascale-smoke megascale-ab \
 	cachebench cachebench-smoke \
-	partition partition-smoke
+	partition partition-smoke perfbench-smoke
 
 JOBS ?= 0
 
@@ -75,6 +75,12 @@ partition:
 
 partition-smoke:
 	$(PYTHON) -m repro.experiments.runner partition --smoke --jobs $(JOBS)
+
+## Run the repository benchmark's own smoke tests: every perfbench
+## workload at reduced scale, with the run's output checks (see
+## perfbench/NOTES.md).
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench
 
 ## Run every experiment plus the scale-family smoke configs and write
 ## BENCH_experiments.json with per-cell/per-experiment wall-clock and

@@ -13,8 +13,7 @@ Run:  python examples/hybrid_client.py
 
 from repro.analysis import render_table
 from repro.network import make_link
-from repro.offload import DecisionEngine, MobileDevice
-from repro.offload.client import replay_hybrid
+from repro.offload import DecisionEngine, MobileDevice, replay_partitioned
 from repro.platform import RattrapPlatform, VMCloudPlatform
 from repro.sim import Environment
 from repro.workloads import ALL_WORKLOADS, generate_inflow
@@ -31,7 +30,7 @@ def run(platform_name: str, profile, scenario: str):
         for i in range(3)
     }
     proc = env.process(
-        replay_hybrid(env, platform, plans, devices, DecisionEngine())
+        replay_partitioned(env, platform, plans, devices, decider=DecisionEngine())
     )
     results = env.run(until=proc)
     offloaded = [r for r in results if not r.executed_locally]

@@ -2,7 +2,6 @@
 
 from .client import (
     replay_closed_loop,
-    replay_hybrid,
     replay_inflow,
     replay_partitioned,
     replay_with_deadline,
@@ -42,7 +41,6 @@ __all__ = [
     "OffloadEstimate",
     "replay_inflow",
     "replay_closed_loop",
-    "replay_hybrid",
     "replay_partitioned",
     "replay_with_deadline",
     "replay_with_retry",

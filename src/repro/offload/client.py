@@ -3,6 +3,10 @@
 Replays an arrival plan (the "same inflow of requests" the evaluation
 uses for every compared platform) against a cloud platform, collecting
 the per-request results all experiments aggregate.
+
+Every closed-loop client is one per-device loop (:func:`_replay`) with
+a different per-request step: plain offload, offload under a deadline,
+offload with retry, or the partition layer's offload/local/shed verdict.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence
 from ..network.link import Link
 from ..obs import metrics_of
 from .device import MobileDevice
-from .request import RequestResult
+from .request import PhaseTimeline, RequestResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..platform.base import CloudPlatform
@@ -22,12 +26,91 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "replay_inflow",
     "replay_closed_loop",
-    "replay_hybrid",
     "replay_partitioned",
     "replay_with_deadline",
     "replay_with_retry",
     "run_inflow_experiment",
 ]
+
+
+def _replay(env: "Environment", plans, devices, step) -> Generator:
+    """Process generator: the closed loop every client mode shares.
+
+    Interactive offloading apps issue one request at a time: each
+    device submits its next request one think-gap after the previous
+    *response* (so a slow cold start delays, rather than piles up,
+    that device's stream).  ``step(plan, device)`` serves one request
+    (``device`` is ``None`` without a device map).  Returns all results,
+    ordered by request id.
+    """
+    per_device: Dict[str, list] = {}
+    for plan in plans:
+        per_device.setdefault(plan.device_id, []).append(plan)
+    for seq in per_device.values():
+        seq.sort(key=lambda p: p.request.seq_on_device)
+    if devices is not None:
+        missing = set(per_device) - set(devices)
+        if missing:
+            raise ValueError(f"no device object for: {sorted(missing)}")
+
+    def drive(device_plans) -> Generator:
+        device = devices[device_plans[0].device_id] if devices is not None else None
+        collected = []
+        for plan in device_plans:
+            if plan.gap_s > 0:
+                yield env.timeout(plan.gap_s)
+            collected.append((yield from step(plan, device)))
+        return collected
+
+    done = yield env.all_of([env.process(drive(seq)) for seq in per_device.values()])
+    results = [r for batch in done.values() for r in batch]
+    results.sort(key=lambda r: r.request.request_id)
+    return results
+
+
+def _client_result(env, request, started, device=None, **flags) -> Generator:
+    """A result the cloud never produced: the task run on ``device``
+    (``executed_locally``), or nothing run at all when it is ``None``.
+    ``flags`` are further :class:`RequestResult` fields."""
+    if device is not None:
+        yield from device.execute_locally(
+            env, request.profile, trace_id=request.trace_id
+        )
+        flags["executed_locally"] = True
+    return RequestResult(
+        request=request,
+        timeline=PhaseTimeline(),
+        started_at=started,
+        finished_at=env.now,
+        **flags,
+    )
+
+
+def _offload(env, proc, request, device, budget=None, why="") -> Generator:
+    """Await the submitted offload ``proc`` and charge ``device`` for it.
+
+    Past ``budget`` seconds from submission the offload is interrupted
+    (``why``) and the task runs locally, flagged ``deadline_aborted``.
+    A response landing in the very tick the budget expires is kept: the
+    condition may only have seen the expiry, but the response exists.
+    """
+    submitted = env.now
+    if budget is None:
+        result = yield proc
+    else:
+        proc.defused = True
+        expiry = env.timeout(budget)
+        outcome = yield env.any_of([proc, expiry])
+        if proc not in outcome and not proc.ok:
+            if proc.is_alive:
+                proc.interrupt(why)
+            return (yield from _client_result(
+                env, request, submitted, device, deadline_aborted=True
+            ))
+        result = proc.value
+    if device is not None and not result.blocked:
+        device.account_offload(result)
+    return result
 
 
 def replay_with_deadline(
@@ -52,74 +135,21 @@ def replay_with_deadline(
     partition layer's budget enforcement uses — so the deadline client
     and the QoS shed path agree on when a budget starts counting.
     """
-    from .request import PhaseTimeline
-
     if deadline_s is not None and deadline_s <= 0:
         raise ValueError("deadline_s must be positive")
-    per_device: Dict[str, list] = {}
-    for plan in plans:
-        per_device.setdefault(plan.device_id, []).append(plan)
-    for seq in per_device.values():
-        seq.sort(key=lambda p: p.request.seq_on_device)
-    missing = set(per_device) - set(devices)
-    if missing:
-        raise ValueError(f"no device object for: {sorted(missing)}")
 
-    def drive(device_id: str, device_plans) -> Generator:
-        device = devices[device_id]
-        collected = []
-        for plan in device_plans:
-            if plan.gap_s > 0:
-                yield env.timeout(plan.gap_s)
-            request = plan.request
-            budget = (
-                request.deadline_budget_s
-                if request.deadline_budget_s is not None
-                else deadline_s
-            )
-            submitted = env.now
-            proc = platform.submit(request, device.link)
-            proc.defused = True
-            if budget is None:
-                result = yield proc
-                if not result.blocked:
-                    device.account_offload(result)
-                collected.append(result)
-                continue
-            expiry = env.timeout(budget)
-            outcome = yield env.any_of([proc, expiry])
-            if proc in outcome or proc.ok:
-                # Completed — possibly in the same tick the deadline
-                # fired, in which case the condition only saw the
-                # expiry but the response exists all the same and must
-                # not be thrown away.
-                result = proc.value
-                if not result.blocked:
-                    device.account_offload(result)
-            else:
-                if proc.is_alive:
-                    proc.interrupt("client deadline exceeded")
-                yield from device.execute_locally(
-                    env, request.profile, trace_id=request.trace_id
-                )
-                result = RequestResult(
-                    request=request,
-                    timeline=PhaseTimeline(),
-                    started_at=submitted,
-                    finished_at=env.now,
-                    executed_locally=True,
-                    deadline_aborted=True,
-                )
-            collected.append(result)
-        return collected
+    def step(plan, device) -> Generator:
+        request = plan.request
+        budget = request.deadline_budget_s
+        if budget is None:
+            budget = deadline_s
+        proc = platform.submit(request, device.link)
+        proc.defused = True
+        return (yield from _offload(
+            env, proc, request, device, budget, "client deadline exceeded"
+        ))
 
-    drivers = [
-        env.process(drive(device_id, seq)) for device_id, seq in per_device.items()
-    ]
-    done = yield env.all_of(drivers)
-    results = [r for batch in done.values() for r in batch]
-    results.sort(key=lambda r: r.request.request_id)
-    return results
+    return _replay(env, plans, devices, step)
 
 
 def replay_with_retry(
@@ -145,145 +175,42 @@ def replay_with_retry(
     Non-retryable failures (OOM, model bugs) propagate unchanged.
     """
     from ..sim.rng import RandomStreams
-    from .request import PhaseTimeline
     from .retry import RetryPolicy, is_retryable
 
     if policy is None:
         policy = RetryPolicy()
     rng = RandomStreams(seed).get("client.retry")
-    per_device: Dict[str, list] = {}
-    for plan in plans:
-        per_device.setdefault(plan.device_id, []).append(plan)
-    for seq in per_device.values():
-        seq.sort(key=lambda p: p.request.seq_on_device)
-    missing = set(per_device) - set(devices)
-    if missing:
-        raise ValueError(f"no device object for: {sorted(missing)}")
 
-    def drive(device_id: str, device_plans) -> Generator:
-        device = devices[device_id]
-        collected = []
-        for plan in device_plans:
-            if plan.gap_s > 0:
-                yield env.timeout(plan.gap_s)
-            request = plan.request
-            first_submit = env.now
-            result = None
-            attempt = 0
-            for attempt in range(1, policy.max_attempts + 1):
-                if attempt > 1:
-                    metrics = metrics_of(env)
-                    if metrics is not None:
-                        metrics.counter("client.retries").inc()
-                    yield env.timeout(policy.delay_s(attempt - 1, rng))
-                faults = getattr(env, "faults", None)
-                if faults is not None and faults.link_down(device_id):
-                    continue  # unreachable cloud: burn the attempt
-                try:
-                    result = yield platform.submit(request, device.link)
-                except BaseException as exc:
-                    if is_retryable(exc):
-                        result = None
-                        continue
-                    raise
-                break
-            if result is not None:
-                # Honest end-to-end latency: failed attempts and
-                # backoff count against the request.
-                result.started_at = first_submit
-                result.attempts = attempt
-                if not result.blocked:
-                    device.account_offload(result)
-            else:
-                yield from device.execute_locally(
-                    env, request.profile, trace_id=request.trace_id
+    def step(plan, device) -> Generator:
+        request = plan.request
+        first_submit = env.now
+        for attempt in range(1, policy.max_attempts + 1):
+            if attempt > 1:
+                metrics = metrics_of(env)
+                if metrics is not None:
+                    metrics.counter("client.retries").inc()
+                yield env.timeout(policy.delay_s(attempt - 1, rng))
+            faults = getattr(env, "faults", None)
+            if faults is not None and faults.link_down(plan.device_id):
+                continue  # unreachable cloud: burn the attempt
+            try:
+                result = yield from _offload(
+                    env, platform.submit(request, device.link), request, device
                 )
-                result = RequestResult(
-                    request=request,
-                    timeline=PhaseTimeline(),
-                    started_at=first_submit,
-                    finished_at=env.now,
-                    executed_locally=True,
-                    attempts=policy.max_attempts,
-                )
-            collected.append(result)
-        return collected
+            except BaseException as exc:
+                if is_retryable(exc):
+                    continue
+                raise
+            # Honest end-to-end latency: failed attempts and backoff
+            # count against the request.
+            result.started_at = first_submit
+            result.attempts = attempt
+            return result
+        return (yield from _client_result(
+            env, request, first_submit, device, attempts=policy.max_attempts
+        ))
 
-    drivers = [
-        env.process(drive(device_id, seq)) for device_id, seq in per_device.items()
-    ]
-    done = yield env.all_of(drivers)
-    results = [r for batch in done.values() for r in batch]
-    results.sort(key=lambda r: r.request.request_id)
-    return results
-
-
-def replay_hybrid(
-    env: "Environment",
-    platform: "CloudPlatform",
-    plans: Sequence["ArrivalPlan"],
-    devices: Dict[str, MobileDevice],
-    engine,
-) -> Generator:
-    """Closed-loop replay with the decision engine in the loop.
-
-    Before each request the client asks the platform for its expected
-    runtime-preparation time and cache state, predicts the offloading
-    speedup, and *executes locally* when offloading would not pay —
-    turning would-be offloading failures (§III-B) into local runs.
-    Each device transmits over its own link.
-
-    Returns all results; local executions carry ``executed_locally``.
-    """
-    from .request import PhaseTimeline
-
-    per_device: Dict[str, list] = {}
-    for plan in plans:
-        per_device.setdefault(plan.device_id, []).append(plan)
-    for seq in per_device.values():
-        seq.sort(key=lambda p: p.request.seq_on_device)
-    missing = set(per_device) - set(devices)
-    if missing:
-        raise ValueError(f"no device object for: {sorted(missing)}")
-
-    def drive(device_id: str, device_plans) -> Generator:
-        device = devices[device_id]
-        collected = []
-        for plan in device_plans:
-            if plan.gap_s > 0:
-                yield env.timeout(plan.gap_s)
-            request = plan.request
-            prep = platform.expected_preparation_s(request)
-            cached = platform.code_cached(request)
-            if engine.should_offload(
-                request.profile, device.link,
-                expected_preparation_s=prep, code_cached=cached,
-            ):
-                result = yield platform.submit(request, device.link)
-                if not result.blocked:
-                    device.account_offload(result)
-            else:
-                started = env.now
-                yield from device.execute_locally(
-                    env, request.profile, trace_id=request.trace_id
-                )
-                result = RequestResult(
-                    request=request,
-                    timeline=PhaseTimeline(),
-                    started_at=started,
-                    finished_at=env.now,
-                    executed_locally=True,
-                )
-            collected.append(result)
-        return collected
-
-    drivers = [
-        env.process(drive(device_id, seq)) for device_id, seq in per_device.items()
-    ]
-    done = yield env.all_of(drivers)
-    results = [r for batch in done.values() for r in batch]
-    results.sort(key=lambda r: r.request.request_id)
-    return results
+    return _replay(env, plans, devices, step)
 
 
 def replay_partitioned(
@@ -306,10 +233,15 @@ def replay_partitioned(
     - **local** — run on the handset (``local_exec`` span);
     - **shed** — drop the request (``shed`` result, nothing runs).
 
-    ``decider=None`` detaches the layer entirely: every request
-    offloads to the first platform with no decide span and no cost-
-    model evaluation — byte-identical to a plain closed-loop replay,
-    the ``is None`` gating every optional plane here uses.
+    Any object with ``decide``/``observe``/``cfg`` is a decider:
+    :class:`~repro.offload.partition.OffloadDecider`,
+    :class:`~repro.offload.partition.StaticDecider`, or the
+    break-even :class:`~repro.offload.decision.DecisionEngine` (the
+    hybrid client).  ``decider=None`` detaches the layer entirely:
+    every request offloads to the first platform with no decide span
+    and no cost-model evaluation — byte-identical to a plain
+    closed-loop replay, the ``is None`` gating every optional plane
+    here uses.
 
     Each decision is wrapped in a ``decide`` phase span of the
     configured ``decide_s``, so partitioned responses still tile
@@ -317,112 +249,42 @@ def replay_partitioned(
     ``local_exec`` when local, decide alone when shed.
     """
     from ..obs import trace_span
-    from .request import PhaseTimeline
 
     targets = list(platforms) if isinstance(platforms, (list, tuple)) else [platforms]
     if not targets:
         raise ValueError("need at least one platform")
-    per_device: Dict[str, list] = {}
-    for plan in plans:
-        per_device.setdefault(plan.device_id, []).append(plan)
-    for seq in per_device.values():
-        seq.sort(key=lambda p: p.request.seq_on_device)
-    missing = set(per_device) - set(devices)
-    if missing:
-        raise ValueError(f"no device object for: {sorted(missing)}")
 
-    def offload(device, request, target, budget) -> Generator:
-        """One offload attempt, optionally budget-enforced."""
-        submitted = env.now
-        proc = target.submit(request, device.link)
-        if budget is None:
-            result = yield proc
-            if not result.blocked:
-                device.account_offload(result)
-            return result
-        proc.defused = True
-        expiry = env.timeout(budget)
-        outcome = yield env.any_of([proc, expiry])
-        if proc in outcome or proc.ok:
-            # Same-tick completion is a completion (see
-            # replay_with_deadline).
-            result = proc.value
-            if not result.blocked:
-                device.account_offload(result)
-            return result
-        if proc.is_alive:
-            proc.interrupt("QoS budget exceeded")
-        yield from device.execute_locally(
-            env, request.profile, trace_id=request.trace_id
-        )
-        return RequestResult(
-            request=request,
-            timeline=PhaseTimeline(),
-            started_at=submitted,
-            finished_at=env.now,
-            executed_locally=True,
-            deadline_aborted=True,
-        )
-
-    def drive(device_id: str, device_plans) -> Generator:
-        device = devices[device_id]
+    def step(plan, device) -> Generator:
+        request = plan.request
+        if decider is None:
+            return (yield from _offload(
+                env, targets[0].submit(request, device.link), request, device
+            ))
+        started = env.now
+        with trace_span(env, "decide", who=plan.device_id, trace=request.trace_id):
+            decision = decider.decide(request, device, targets)
+            if decider.cfg.decide_s:
+                yield env.timeout(decider.cfg.decide_s)
         metrics = metrics_of(env)
-        collected = []
-        for plan in device_plans:
-            if plan.gap_s > 0:
-                yield env.timeout(plan.gap_s)
-            request = plan.request
-            if decider is None:
-                result = yield targets[0].submit(request, device.link)
-                if not result.blocked:
-                    device.account_offload(result)
-                collected.append(result)
-                continue
-            started = env.now
-            with trace_span(env, "decide", who=device_id, trace=request.trace_id):
-                decision = decider.decide(request, device, targets)
-                if decider.cfg.decide_s:
-                    yield env.timeout(decider.cfg.decide_s)
-            if metrics is not None:
-                metrics.counter(f"client.decisions.{decision.choice}").inc()
-            if decision.choice == "offload":
-                budget = None
-                if decider.cfg.enforce_budget and decision.budget_s != float("inf"):
-                    budget = decision.budget_s
-                result = yield from offload(
-                    device, request, targets[decision.target], budget
-                )
-                result.started_at = started  # the decision is part of it
-            elif decision.choice == "local":
-                yield from device.execute_locally(
-                    env, request.profile, trace_id=request.trace_id
-                )
-                result = RequestResult(
-                    request=request,
-                    timeline=PhaseTimeline(),
-                    started_at=started,
-                    finished_at=env.now,
-                    executed_locally=True,
-                )
-            else:  # shed
-                result = RequestResult(
-                    request=request,
-                    timeline=PhaseTimeline(),
-                    started_at=started,
-                    finished_at=env.now,
-                    shed=True,
-                )
-            decider.observe(result)
-            collected.append(result)
-        return collected
+        if metrics is not None:
+            metrics.counter(f"client.decisions.{decision.choice}").inc()
+        if decision.choice == "offload":
+            budget = None
+            if decider.cfg.enforce_budget and decision.budget_s != float("inf"):
+                budget = decision.budget_s
+            proc = targets[decision.target].submit(request, device.link)
+            result = yield from _offload(
+                env, proc, request, device, budget, "QoS budget exceeded"
+            )
+            result.started_at = started  # the decision is part of it
+        elif decision.choice == "local":
+            result = yield from _client_result(env, request, started, device)
+        else:  # shed
+            result = yield from _client_result(env, request, started, shed=True)
+        decider.observe(result)
+        return result
 
-    drivers = [
-        env.process(drive(device_id, seq)) for device_id, seq in per_device.items()
-    ]
-    done = yield env.all_of(drivers)
-    results = [r for batch in done.values() for r in batch]
-    results.sort(key=lambda r: r.request.request_id)
-    return results
+    return _replay(env, plans, devices, step)
 
 
 def replay_closed_loop(
@@ -434,34 +296,17 @@ def replay_closed_loop(
 ) -> Generator:
     """Process generator: closed-loop replay, the main-experiment mode.
 
-    Interactive offloading apps issue one request at a time: each
-    device submits its next request one think-gap after the previous
-    *response* (so a slow cold start delays, rather than piles up,
-    that device's stream).  This matches §VI-C's "5 Android devices
-    running offloading workloads".
+    Every device shares ``link``; this matches §VI-C's "5 Android
+    devices running offloading workloads".  When ``devices`` is given,
+    each device's battery is charged for its offloaded requests.
     """
-    per_device: Dict[str, list] = {}
-    for plan in plans:
-        per_device.setdefault(plan.device_id, []).append(plan)
-    for seq in per_device.values():
-        seq.sort(key=lambda p: p.request.seq_on_device)
 
-    def drive(device_plans) -> Generator:
-        collected = []
-        for plan in device_plans:
-            if plan.gap_s > 0:
-                yield env.timeout(plan.gap_s)
-            result = yield platform.submit(plan.request, link)
-            if devices is not None and not result.blocked:
-                devices[plan.device_id].account_offload(result)
-            collected.append(result)
-        return collected
+    def step(plan, device) -> Generator:
+        return (yield from _offload(
+            env, platform.submit(plan.request, link), plan.request, device
+        ))
 
-    drivers = [env.process(drive(seq)) for seq in per_device.values()]
-    done = yield env.all_of(drivers)
-    results = [r for batch in done.values() for r in batch]
-    results.sort(key=lambda r: r.request.request_id)
-    return results
+    return _replay(env, plans, devices, step)
 
 
 def replay_inflow(
@@ -477,20 +322,17 @@ def replay_inflow(
     request id.  When ``devices`` is given, each device's battery is
     charged for its offloaded requests (Fig. 10's methodology).
     """
-    submissions = []
 
     def fire(plan: ArrivalPlan) -> Generator:
         delay = plan.time_s - env.now
         if delay > 0:
             yield env.timeout(delay)
-        result = yield platform.submit(plan.request, link)
-        if devices is not None and not result.blocked:
-            devices[plan.device_id].account_offload(result)
-        return result
+        device = devices[plan.device_id] if devices is not None else None
+        return (yield from _offload(
+            env, platform.submit(plan.request, link), plan.request, device
+        ))
 
-    for plan in plans:
-        submissions.append(env.process(fire(plan)))
-    done = yield env.all_of(submissions)
+    done = yield env.all_of([env.process(fire(plan)) for plan in plans])
     results = [r for r in done.values() if isinstance(r, RequestResult)]
     results.sort(key=lambda r: r.request.request_id)
     return results
@@ -515,5 +357,4 @@ def run_inflow_experiment(
         gen = replay_inflow(env, platform, plans, link, devices)
     else:
         raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
-    proc = env.process(gen)
-    return env.run(until=proc)
+    return env.run(until=env.process(gen))

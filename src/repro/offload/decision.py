@@ -11,11 +11,13 @@ MAUI/CloneCloud-style break-even analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..network.link import Link
 from ..workloads.base import WorkloadProfile
 from ..offload.messages import KB
+from .partition import CostEstimate, Decision, PartitionConfig
 
 __all__ = ["DecisionEngine", "OffloadEstimate"]
 
@@ -42,7 +44,15 @@ class OffloadEstimate:
 
 
 class DecisionEngine:
-    """Predicts offload profitability before committing to it."""
+    """Predicts offload profitability before committing to it.
+
+    Also a decider for :func:`~repro.offload.client.replay_partitioned`
+    (the hybrid client): :meth:`decide` applies the threshold rule
+    against the first candidate platform's advertised state.
+    """
+
+    #: decider protocol: no decide latency, no runtime budget enforcement
+    cfg = PartitionConfig()
 
     def __init__(
         self,
@@ -96,3 +106,22 @@ class DecisionEngine:
         """True when the predicted speedup clears the threshold."""
         est = self.estimate(profile, link, expected_preparation_s, code_cached)
         return est.predicted_speedup >= self.speedup_threshold
+
+    def decide(self, request, device, platforms) -> Decision:
+        """Offload to ``platforms[0]`` when it clears the threshold, else
+        run locally.  Estimates carry latency only (energy 0 J)."""
+        platform = platforms[0]
+        est = self.estimate(
+            request.profile,
+            device.link,
+            platform.expected_preparation_s(request),
+            platform.code_cached(request),
+        )
+        local = CostEstimate(est.local_s, 0.0)
+        offload = CostEstimate(est.response_s, 0.0)
+        if est.predicted_speedup >= self.speedup_threshold:
+            return Decision("offload", 0, local, offload, math.inf, "speedup")
+        return Decision("local", -1, local, offload, math.inf, "no speedup")
+
+    def observe(self, result) -> None:
+        """The break-even rule learns nothing from outcomes."""

@@ -80,9 +80,9 @@ class PartitionConfig:
     #: when even the local estimate busts the budget
     shed_over_budget: bool = False
     #: enforce finite budgets at runtime too: offloads still in flight
-    #: at their budget are aborted and re-run locally (same clock as
-    #: :func:`~repro.offload.client.replay_with_deadline` — anchored at
-    #: the submission instant, after the decide span closes)
+    #: at their budget are aborted and re-run locally (the abort path
+    #: :func:`~repro.offload.client.replay_with_deadline` uses — clock
+    #: anchored at the submission instant, after the decide span closes)
     enforce_budget: bool = False
 
     def __post_init__(self):

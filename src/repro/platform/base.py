@@ -178,6 +178,12 @@ class CloudPlatform:
         code_bytes = int(request.profile.code_size_kb * KB)
         yield from self.server.disk.write(code_bytes, virt_overhead=runtime.io_overhead)
 
+    def await_code_upload(self, request: OffloadRequest) -> Generator:
+        """Wait out an in-flight upload of the app's code (code-cache
+        platforms; a no-op here)."""
+        return
+        yield  # pragma: no cover - empty generator
+
     def fetch_code(
         self, request: OffloadRequest, runtime: RuntimeEnvironment
     ) -> Generator:
@@ -324,13 +330,16 @@ class CloudPlatform:
                 ):
                     if cache.cfg.hit_s:
                         yield env.timeout(cache.cfg.hit_s)
-                # A hit still binds the session: attaching to the
-                # container loads the app environment, so the runtime
-                # stays the app's affinity target for later requests
-                # (otherwise every hit-only session cold-boots anew).
-                if not runtime.has_app(request.app_id):
-                    runtime.mark_loaded(request.app_id)
-                    self.on_app_loaded(request, runtime)
+                    # A hit still binds the session: attaching to the
+                    # container loads the app environment, so the
+                    # runtime stays the app's affinity target for later
+                    # requests (otherwise every hit-only session cold-
+                    # boots anew).  Registering needs the code, which
+                    # may still be on its way up with another request.
+                    if not runtime.has_app(request.app_id):
+                        yield from self.await_code_upload(request)
+                        runtime.mark_loaded(request.app_id)
+                        self.on_app_loaded(request, runtime)
             else:
                 with trace_span(env, "execute", who=record.cid, trace=request.trace_id):
                     yield from self._execute(request, runtime)

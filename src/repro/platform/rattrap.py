@@ -161,14 +161,18 @@ class RattrapPlatform(CloudPlatform):
             pending.defused = True  # waiters may already be dead too
             pending.fail(CodeUploadAborted(app))
 
-    def fetch_code(
-        self, request: OffloadRequest, runtime: RuntimeEnvironment
-    ) -> Generator:
-        # A concurrent first-wave request may reach code load before the
-        # reserving request finished uploading — wait for the warehouse.
+    def await_code_upload(self, request: OffloadRequest) -> Generator:
+        # A concurrent first-wave request may reach code load (or a
+        # result-cache hit) before the reserving request finished
+        # uploading — wait for the warehouse.
         pending = self._code_pending.get(request.app_id)
         if pending is not None and not pending.processed:
             yield pending
+
+    def fetch_code(
+        self, request: OffloadRequest, runtime: RuntimeEnvironment
+    ) -> Generator:
+        yield from self.await_code_upload(request)
         code_bytes = int(request.profile.code_size_kb * KB)
         yield from self.server.disk.read(code_bytes, virt_overhead=runtime.io_overhead)
 

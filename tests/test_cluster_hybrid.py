@@ -7,9 +7,9 @@ from repro.network import make_link
 from repro.offload import (
     DecisionEngine,
     MobileDevice,
+    replay_partitioned,
     run_inflow_experiment,
 )
-from repro.offload.client import replay_hybrid
 from repro.platform import ClusterPlatform, RattrapPlatform, VMCloudPlatform
 from repro.sim import Environment
 from repro.workloads import CHESS_GAME, LINPACK, VIRUS_SCAN, generate_inflow
@@ -87,7 +87,8 @@ def _hybrid(profile, scenario, platform_name="rattrap", devices_n=3, per_device=
         for i in range(devices_n)
     }
     engine = DecisionEngine()
-    proc = env.process(replay_hybrid(env, platform, plans, devices, engine))
+    proc = env.process(
+        replay_partitioned(env, platform, plans, devices, decider=engine))
     results = env.run(until=proc)
     return platform, devices, results
 
@@ -123,7 +124,22 @@ def test_hybrid_missing_device_rejected():
     plans = generate_inflow(LINPACK, devices=2, requests_per_device=1, seed=0)
     with pytest.raises(ValueError, match="no device"):
         env.run(until=env.process(
-            replay_hybrid(env, platform, plans, {}, DecisionEngine())))
+            replay_partitioned(env, platform, plans, {},
+                               decider=DecisionEngine())))
+
+
+def test_closed_loop_missing_device_rejected_up_front():
+    # A device map lacking a plan's device is rejected before anything
+    # is simulated, not with a KeyError partway through the run.
+    env = Environment()
+    platform = RattrapPlatform(env)
+    plans = generate_inflow(LINPACK, devices=2, requests_per_device=2, seed=0)
+    devices = {"device-0": MobileDevice("device-0", make_link("lan-wifi"))}
+    with pytest.raises(ValueError, match=r"no device object for: \['device-1'\]"):
+        run_inflow_experiment(env, platform, plans, make_link("lan-wifi"),
+                              devices=devices)
+    assert env.now == 0.0
+    assert platform.results == []
 
 
 def test_platform_estimates_cold_then_warm():

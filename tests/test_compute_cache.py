@@ -16,7 +16,7 @@ from repro.network import make_link
 from repro.obs import Observability
 from repro.offload import Phase
 from repro.offload.request import OffloadRequest
-from repro.platform import RattrapPlatform, TenancyManager
+from repro.platform import ClusterPlatform, RattrapPlatform, TenancyManager
 from repro.platform.compute_cache import (
     ClusterCacheDirectory,
     ComputeCacheConfig,
@@ -221,6 +221,40 @@ def test_hit_still_binds_app_affinity():
         _serve(plat, OffloadRequest(i, f"d{i}", "scan", VIRUS_SCAN))
     assert plat.runtime_count() == 1
     assert plat.compute_cache.hits == 3
+
+
+def test_cluster_hit_waits_for_in_flight_code_upload():
+    # Regression: a cluster-tier hit landing on a node whose first
+    # upload of the app's code is still in flight must wait for that
+    # upload before binding the app, exactly like a cold code load —
+    # registering earlier raised KeyError("no preserved code").
+    env = Environment()
+    obs = Observability(env)
+    cluster = ClusterPlatform(env, servers=2)
+    cluster.enable_compute_cache(ComputeCacheConfig(adaptive=False))
+    home, other = cluster.nodes
+    link = make_link("lan-wifi")
+    # The result for digest "x" is computed (and offered) on one node.
+    r0 = _serve(home, _req(0, "x", profile=VIRUS_SCAN))
+    # On the other node, d1 reserves and starts uploading the code;
+    # d2 follows, skips the upload and hits "x" through the directory
+    # while d1's code is still on the wire.
+    carrier = other.submit(_req(1, "y", profile=VIRUS_SCAN), link)
+    env.run(until=env.now + 0.1)
+    hitter = other.submit(_req(2, "x", profile=VIRUS_SCAN), link)
+    env.run(until=env.all_of([carrier, hitter]))
+    r1, r2 = carrier.value, hitter.value
+    assert not r1.code_cache_hit and r2.code_cache_hit
+    assert r2.result_cache_hit and not r1.result_cache_hit
+    # The hit returned only after the code landed and was registered.
+    assert other.warehouse.containers_for("scan") == sorted(
+        {r1.executed_on, r2.executed_on}
+    )
+    assert r2.phase(Phase.EXECUTION) > other.compute_cache.cfg.hit_s
+    # The wait sits inside the cache_hit span: spans still tile.
+    assert obs.tracer.phase_total_s() == pytest.approx(
+        sum(r.response_time for r in (r0, r1, r2)), rel=1e-9
+    )
 
 
 def test_requests_with_operations_always_execute():
