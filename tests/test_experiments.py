@@ -29,6 +29,7 @@ REPORT_SHA256 = {
     "fig2": "1d21964b5cc027e6022f954f005f471cff83b95894a4a659531da76a9600f4ea",
     "fig10": "0162c4f72d781e7aac8baded957b4608a9064bd4fca5faa6fcd622c7b47e5ebd",
     "fig11": "eb0be3e25ff8c4ef7bcdc83c7374fc3dcf6dadb0bb647712d5dbe3763d6471db",
+    "battery": "a4b827dfc5b8268f83233d4fe52fd8673d378fd883ffba3b1e2ac9196ed16afc",
     "battery-3-0.5": "578fe158d53785a34df2630cfce4ca0acbf9a2d0cfa1253863be7b3008228eda",
     "battery-2-0.25": "d4f0a2c372b8eda10e9fe3597a9c08fdc83088a237ce9030225bdb28bdbb9ceb",
     "sensitivity": "dfa17f5e0a967cc66996fb30f6b86f34c5836a12237bd79f7d28325dc0e79ff9",
@@ -293,3 +294,61 @@ def test_chaos_report_pinned():
     from repro.experiments import chaos
 
     assert_pinned("chaos", chaos.report(chaos.run()))
+
+
+#: sha256 of the deterministic fields of the scale-family ``--smoke``
+#: runs (kernel event counts included).  Only host-time fields are
+#: left out: wall clock, host rates and resident memory.
+#: Rule: a digest may change only in a change whose CHANGES.md entry
+#: names the experiment and why its output moved.
+SMOKE_DATA_SHA256 = {
+    "scale": "114a2506537203d68f0c6a8efdd51cf0f4df163cce7ff135079345d7dd711e8d",
+    "predictive": "aadee7543e75f50c3927c7c535cf440e49b8db2acf185413ca2a5f0c10806418",
+    "megascale": "aaaaa3d35268cab921ac2a79284d3e449fa10cdbe0ca4598d6be5ede8d313b1f",
+    "cachebench": "162d462bdf96d8f51b904e96dd7841947097f05670ed12f4b008382d4fe0cef1",
+}
+
+#: data fields that measure the host, not the simulation
+HOST_TIME_FIELDS = frozenset({"wall_s", "req_per_s", "sync_wall_s", "peak_rss_mb"})
+
+
+def deterministic_digest(data):
+    """sha256 of ``data`` with every host-time field removed."""
+    import json
+
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {
+                str(k): strip(v) for k, v in obj.items() if k not in HOST_TIME_FIELDS
+            }
+        if isinstance(obj, (list, tuple)):
+            return [strip(v) for v in obj]
+        return obj
+
+    text = json.dumps(strip(data), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("scale", {"smoke": True}),
+        ("predictive", {}),
+        ("megascale", {"smoke": True}),
+        ("megascale", {"smoke": True, "jobs": 2}),
+        ("cachebench", {"smoke": True}),
+    ],
+    ids=["scale", "predictive", "megascale", "megascale-jobs2", "cachebench"],
+)
+def test_smoke_run_data_pinned(name, kwargs):
+    import importlib
+
+    module = importlib.import_module(f"repro.experiments.{name}")
+    digest = deterministic_digest(module.run(**kwargs))
+    assert digest == SMOKE_DATA_SHA256[name], f"{name} smoke data moved: {digest}"
+
+
+def test_battery_default_report_pinned():
+    from repro.experiments import battery
+
+    assert_pinned("battery", battery.report(battery.run()))
