@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test bench bench-compare experiments chaos abuse abuse-smoke \
 	scale predictive megascale megascale-smoke megascale-ab \
 	cachebench cachebench-smoke \
-	partition partition-smoke perfbench-smoke
+	partition partition-smoke perfbench-smoke perfbench-ab
 
 JOBS ?= 0
 
@@ -81,6 +81,17 @@ partition-smoke:
 ## perfbench/NOTES.md).
 perfbench-smoke:
 	$(PYTHON) -m pytest -q perfbench
+
+## A/B the repository benchmark: REF (a git ref, checked out into a
+## temporary worktree) against the working tree, PAIRS alternating
+## pairs per workload and seed (see tools/perfbench_ab.py).  Exits 1
+## if the two sides simulate differently.
+PAIRS ?= 10
+SEEDS ?= 1
+perfbench-ab:
+	$(if $(REF),,$(error usage: make perfbench-ab REF=<git ref>))
+	$(PYTHON) tools/perfbench_ab.py --ref $(REF) --pairs $(PAIRS) --seeds $(SEEDS) \
+		$(if $(WORKLOADS),--workloads $(WORKLOADS)) $(if $(SECONDS),--seconds $(SECONDS))
 
 ## Run every experiment plus the scale-family smoke configs and write
 ## BENCH_experiments.json with per-cell/per-experiment wall-clock and

@@ -45,6 +45,8 @@ class CpuJob:
     done: Event
     weight: float = 1.0
     tag: str = ""
+    #: current service rate in cores (set by the GPS water-filling)
+    rate: float = 0.0
 
 
 class MultiCoreCPU:
@@ -63,7 +65,6 @@ class MultiCoreCPU:
         self.cores = int(cores)
         self.name = name
         self._jobs: Dict[int, CpuJob] = {}
-        self._rates: Dict[int, float] = {}
         self._next_id = 0
         self._last_update = env.now
         self._wake: Optional[Event] = None
@@ -117,12 +118,11 @@ class MultiCoreCPU:
         """Water-filling GPS: weight-proportional shares capped at 1 core."""
         jobs = list(self._jobs.values())
         n = len(jobs)
-        self._rates = {}
         if n == 0:
             return
         if n <= self.cores:
             for job in jobs:
-                self._rates[job.job_id] = 1.0
+                job.rate = 1.0
             return
         capacity = float(self.cores)
         pending = jobs[:]
@@ -134,10 +134,10 @@ class MultiCoreCPU:
             capped = [j for j in pending if j.weight * share >= 1.0 - 1e-12]
             if not capped:
                 for j in pending:
-                    self._rates[j.job_id] = j.weight * share
+                    j.rate = j.weight * share
                 return
             for j in capped:
-                self._rates[j.job_id] = 1.0
+                j.rate = 1.0
                 capacity -= 1.0
             pending = [j for j in pending if j not in capped]
         # All jobs capped (only possible when n <= cores — handled above).
@@ -151,12 +151,11 @@ class MultiCoreCPU:
             return
         finished: List[CpuJob] = []
         for job in self._jobs.values():
-            job.remaining -= dt * self._rates.get(job.job_id, 0.0)
+            job.remaining -= dt * job.rate
             if job.remaining <= _EPS:
                 finished.append(job)
         for job in finished:
             del self._jobs[job.job_id]
-            self._rates.pop(job.job_id, None)
             self.completed_jobs += 1
             job.done.succeed()
         if finished:
@@ -178,10 +177,7 @@ class MultiCoreCPU:
         if not self._jobs:
             self._wake = None
             return
-        next_dt = min(
-            job.remaining / self._rates[job.job_id]
-            for job in self._jobs.values()
-        )
+        next_dt = min(job.remaining / job.rate for job in self._jobs.values())
         wake = self.env.timeout(max(next_dt, 0.0))
         self._wake = wake
         wake.add_callback(lambda ev, me=wake: self._on_wake(me))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence
 
+from ..faults.errors import CodeUploadAborted
 from ..network.link import Link
 from ..obs import metrics_of
 from .device import MobileDevice
@@ -93,6 +94,8 @@ def _offload(env, proc, request, device, budget=None, why="") -> Generator:
     (``why``) and the task runs locally, flagged ``deadline_aborted``.
     A response landing in the very tick the budget expires is kept: the
     condition may only have seen the expiry, but the response exists.
+    An offload that dies first because the request carrying its app's
+    code was aborted (:class:`CodeUploadAborted`) runs locally too.
     """
     submitted = env.now
     if budget is None:
@@ -100,7 +103,10 @@ def _offload(env, proc, request, device, budget=None, why="") -> Generator:
     else:
         proc.defused = True
         expiry = env.timeout(budget)
-        outcome = yield env.any_of([proc, expiry])
+        try:
+            outcome = yield env.any_of([proc, expiry])
+        except CodeUploadAborted:
+            outcome = {}
         if proc not in outcome and not proc.ok:
             if proc.is_alive:
                 proc.interrupt(why)

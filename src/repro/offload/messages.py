@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
+from functools import lru_cache
+from typing import TYPE_CHECKING, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..workloads.base import WorkloadProfile
@@ -46,11 +47,16 @@ class Message:
             raise ValueError("message size must be >= 0")
 
 
-def upload_messages(profile: "WorkloadProfile", include_code: bool) -> List[Message]:
+@lru_cache(maxsize=256)
+def upload_messages(
+    profile: "WorkloadProfile", include_code: bool
+) -> Tuple[Message, ...]:
     """Messages a client uploads for one offloading request.
 
     ``include_code`` is True when the target runtime (or, with the App
     Warehouse, the whole platform) has never seen this app's code.
+    Profiles are frozen, so each profile's messages are built once and
+    shared by every request that carries it.
     """
     msgs: List[Message] = []
     if include_code:
@@ -80,11 +86,12 @@ def upload_messages(profile: "WorkloadProfile", include_code: bool) -> List[Mess
             description="offloading control",
         )
     )
-    return msgs
+    return tuple(msgs)
 
 
+@lru_cache(maxsize=256)
 def result_message(profile: "WorkloadProfile") -> Message:
-    """The downloaded execution result."""
+    """The downloaded execution result (built once per profile)."""
     return Message(
         kind=MessageKind.RESULT.value,
         size_bytes=int(profile.result_size_kb * KB),

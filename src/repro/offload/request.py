@@ -33,21 +33,29 @@ class Phase(str, enum.Enum):
     EXECUTION = "computation_execution"
 
 
+#: every phase at zero, keyed by phase value string
+_ZERO_DURATIONS: Dict[str, float] = {p.value: 0.0 for p in Phase}
+
+
 class PhaseTimeline:
-    """Accumulates per-phase durations for one request."""
+    """Accumulates per-phase durations for one request.
+
+    :class:`Phase` is a ``str`` enum, so a member indexes the
+    value-keyed dict directly (no ``.value`` lookup on the hot path).
+    """
 
     def __init__(self) -> None:
-        self._durations: Dict[str, float] = {p.value: 0.0 for p in Phase}
+        self._durations: Dict[str, float] = _ZERO_DURATIONS.copy()
 
     def add(self, phase: Phase, seconds: float) -> None:
         """Accumulate ``seconds`` into one phase."""
         if seconds < 0:
             raise ValueError(f"negative duration for {phase}")
-        self._durations[phase.value] += seconds
+        self._durations[phase] += seconds
 
     def get(self, phase: Phase) -> float:
         """Accumulated duration of one phase."""
-        return self._durations[phase.value]
+        return self._durations[phase]
 
     @property
     def total(self) -> float:

@@ -76,6 +76,8 @@ class CloudPlatform:
         self.predictor: Optional[WarmPoolPredictor] = None
         #: content-addressed result cache (None = recompute, zero cost)
         self.compute_cache: Optional[ComputeResultCache] = None
+        #: idle cold-boot length, probed once (see expected_preparation_s)
+        self._cold_boot_s: Optional[float] = None
 
     # ------------------------------------------------------------------ hooks
     def make_runtime(self, cid: str, request: OffloadRequest) -> RuntimeEnvironment:
@@ -354,7 +356,7 @@ class CloudPlatform:
                 yield from send_messages(
                     env,
                     link,
-                    [result_msg],
+                    (result_msg,),
                     "down",
                     self.transfer_log,
                     tenant=request.app_id,
@@ -468,8 +470,12 @@ class CloudPlatform:
         record = self.dispatcher._record_for_key(key)
         if record is not None and record.runtime.is_ready:
             return self.dispatcher.warm_dispatch_s
-        probe = self.make_runtime("probe", request)
-        return probe.boot_sequence.idle_duration_s
+        if self._cold_boot_s is None:
+            # Every runtime a platform makes boots the same sequence,
+            # so one probe answers for all later cold estimates.
+            probe = self.make_runtime("probe", request)
+            self._cold_boot_s = probe.boot_sequence.idle_duration_s
+        return self._cold_boot_s
 
     def code_cached(self, request: OffloadRequest) -> bool:
         """Would this request skip the code upload?"""

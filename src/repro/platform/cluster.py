@@ -122,23 +122,24 @@ class ClusterPlatform:
 
     def _route_index(self, request: OffloadRequest) -> int:
         if self.policy == "device-sticky":
-            home = self.routed.get(
-                request.device_id, self._sticky_index(request.device_id)
-            )
+            device = request.device_id
+            routed = self.routed.get(device)
+            # Hash only a device seen for the first time.
+            home = routed if routed is not None else self._sticky_index(device)
             n = len(self.nodes)
             for k in range(n):
                 idx = (home + k) % n
                 if self._available(idx):
-                    if self.routed.get(request.device_id) not in (None, idx):
+                    if routed is not None and routed != idx:
                         self.failovers += 1
                         metrics = metrics_of(self.env)
                         if metrics is not None:
                             metrics.counter("cluster.failovers").inc()
-                    self.routed[request.device_id] = idx
+                    self.routed[device] = idx
                     return idx
             # Whole fleet dark: keep the sticky assignment; the request
             # fails fast and the client's retry policy takes over.
-            self.routed[request.device_id] = home
+            self.routed[device] = home
             return home
         # least-loaded: fewest in-flight requests among available nodes,
         # ties to the lowest index (min keeps the first of equals).

@@ -44,6 +44,9 @@ class ContainerDB:
 
     def __init__(self) -> None:
         self._records: Dict[str, ContainerRecord] = {}
+        #: owner device -> its records in registration order (the
+        #: dispatcher takes the first live one, so order matters)
+        self._by_owner: Dict[str, List[ContainerRecord]] = {}
         self._next_cid = 1
 
     def new_cid(self) -> str:
@@ -63,6 +66,7 @@ class ContainerDB:
             cid=cid, runtime=runtime, owner_device=owner_device, created_at=now
         )
         self._records[cid] = rec
+        self._by_owner.setdefault(owner_device, []).append(rec)
         return rec
 
     def unregister(self, cid: str) -> None:
@@ -71,7 +75,12 @@ class ContainerDB:
         Unknown CIDs are ignored: crash handling may race normal
         teardown and eviction must stay idempotent.
         """
-        self._records.pop(cid, None)
+        rec = self._records.pop(cid, None)
+        if rec is not None:
+            owned = self._by_owner[rec.owner_device]
+            owned.remove(rec)
+            if not owned:
+                del self._by_owner[rec.owner_device]
 
     def get(self, cid: str) -> ContainerRecord:
         """The record for a CID (KeyError if unknown)."""
@@ -96,8 +105,8 @@ class ContainerDB:
         return [r for r in self._records.values() if r.runtime.is_ready]
 
     def by_device(self, device_id: str) -> List[ContainerRecord]:
-        """Records owned by one device."""
-        return [r for r in self._records.values() if r.owner_device == device_id]
+        """Records owned by one device, in registration order."""
+        return list(self._by_owner.get(device_id, ()))
 
     def with_app(self, app_id: str) -> List[ContainerRecord]:
         """Ready runtimes that already hold this app's code (warm)."""

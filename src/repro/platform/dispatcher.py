@@ -231,12 +231,10 @@ class Dispatcher:
         if key.startswith("app:"):
             candidates = self.db.with_app(key[4:])
             return self.scheduler.pick_least_loaded(candidates)
-        owned = [
-            r
-            for r in self.db.by_device(key)
-            if r.runtime.state in (RuntimeState.BOOTING, RuntimeState.READY)
-        ]
-        return owned[0] if owned else None
+        for r in self.db.by_device(key):
+            if r.runtime.state in (RuntimeState.BOOTING, RuntimeState.READY):
+                return r
+        return None
 
     def _affinity_candidate(self, request: OffloadRequest) -> Optional[ContainerRecord]:
         """Warm container that has executed this app before (cache table)."""

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from ..android.customize import CustomizedOS, customize_os
 from ..android.image import build_android_image
+from ..faults.errors import CodeUploadAborted
 from ..hostos.server import CloudServer
 from ..obs import metrics_of
 from ..offload.messages import KB
@@ -156,8 +157,6 @@ class RattrapPlatform(CloudPlatform):
         del self._code_owner[app]
         pending = self._code_pending.pop(app, None)
         if pending is not None and not pending.triggered:
-            from ..faults.errors import CodeUploadAborted
-
             pending.defused = True  # waiters may already be dead too
             pending.fail(CodeUploadAborted(app))
 
@@ -165,9 +164,15 @@ class RattrapPlatform(CloudPlatform):
         # A concurrent first-wave request may reach code load (or a
         # result-cache hit) before the reserving request finished
         # uploading — wait for the warehouse.
-        pending = self._code_pending.get(request.app_id)
+        app = request.app_id
+        pending = self._code_pending.get(app)
         if pending is not None and not pending.processed:
             yield pending
+        elif self.warehouse is not None and not self.warehouse.has_code(app):
+            # This request skipped the upload behind a carrier that has
+            # since died: nothing in flight, nothing preserved.  Fail
+            # the way a parked follower does, so the client re-requests.
+            raise CodeUploadAborted(app)
 
     def fetch_code(
         self, request: OffloadRequest, runtime: RuntimeEnvironment

@@ -14,6 +14,7 @@ core — ultimately bottoms out in these primitives.
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -116,7 +117,9 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._value = value
         self._state = EventState.TRIGGERED
-        self.env._enqueue(self, delay=0.0)
+        env = self.env
+        heappush(env._queue, (env.now, env._seq, self))
+        env._seq += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -127,7 +130,9 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._exception = exception
         self._state = EventState.TRIGGERED
-        self.env._enqueue(self, delay=0.0)
+        env = self.env
+        heappush(env._queue, (env.now, env._seq, self))
+        env._seq += 1
         return self
 
     def trigger(self, source: "Event") -> None:
@@ -139,7 +144,10 @@ class Event:
 
     # -- processing (kernel internal) ---------------------------------------
     def _process(self) -> None:
-        """Run callbacks; called exactly once by the environment."""
+        """Run callbacks; called exactly once by the environment.
+
+        ``Environment.step`` calls this; ``Environment.run`` inlines it.
+        """
         assert self._state is EventState.TRIGGERED
         self._state = EventState.PROCESSED
         callbacks, self.callbacks = self.callbacks, None
@@ -166,24 +174,16 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        super().__init__(env)
-        self.delay = float(delay)
-        self._value = value
-        self._state = EventState.TRIGGERED
-        env._enqueue(self, delay=self.delay)
-
-    def _reinit(self, delay: float, value: Any = None) -> "Timeout":
-        """Rearm a recycled instance (kernel internal, free-list path)."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        # Event.__init__ inlined: timeouts dominate event traffic.
+        self.env = env
         self.callbacks = []
         self._value = value
         self._exception = None
-        self.defused = False
-        self.delay = float(delay)
         self._state = EventState.TRIGGERED
-        self.env._enqueue(self, delay=self.delay)
-        return self
+        self.defused = False
+        self.delay = delay = float(delay)
+        heappush(env._queue, (env.now + delay, env._seq, self))
+        env._seq += 1
 
 
 class ConditionEvent(Event):

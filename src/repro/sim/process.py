@@ -12,6 +12,7 @@ return value — so they can be yielded on, combined with ``all_of`` /
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from .events import Event, EventState, Interrupt, SimulationError
@@ -38,8 +39,9 @@ class Process(Event):
         # Kick off at the current time via an already-triggered bootstrap event.
         bootstrap = Event(env)
         bootstrap._state = EventState.TRIGGERED
-        bootstrap.add_callback(self._resume)
-        env._enqueue(bootstrap, delay=0.0)
+        bootstrap.callbacks.append(self._resume)
+        heappush(env._queue, (env.now, env._seq, bootstrap))
+        env._seq += 1
 
     # -- public API --------------------------------------------------------------
     @property
@@ -94,17 +96,13 @@ class Process(Event):
             env._active_process = None
             self.succeed(stop.value)
             return
-        except Interrupt as exc:
-            # An interrupt escaping the generator ends the process with failure.
-            env._active_process = None
-            self.fail(exc)
-            return
         except BaseException as exc:
+            # Anything escaping the generator (an Interrupt included)
+            # ends the process with failure.
             env._active_process = None
             self.fail(exc)
             return
-        finally:
-            env._active_process = None
+        env._active_process = None
 
         if not isinstance(next_target, Event):
             # Feed the mistake back into the generator as a diagnosable error.
@@ -122,7 +120,12 @@ class Process(Event):
         if next_target.env is not env:
             raise SimulationError("yielded an event from a different environment")
         self._target = next_target
-        next_target.add_callback(self._resume)
+        callbacks = next_target.callbacks
+        if callbacks is None:
+            # Already processed: resume at once, as add_callback would.
+            self._resume(next_target)
+        else:
+            callbacks.append(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name} state={self.state.value}>"

@@ -12,7 +12,7 @@ from repro.offload import (
 )
 from repro.platform import ClusterPlatform, RattrapPlatform, VMCloudPlatform
 from repro.sim import Environment
-from repro.workloads import CHESS_GAME, LINPACK, VIRUS_SCAN, generate_inflow
+from repro.workloads import CHESS_GAME, LINPACK, OCR, VIRUS_SCAN, generate_inflow
 
 
 # ------------------------------------------------------------------ cluster
@@ -156,6 +156,32 @@ def test_platform_estimates_cold_then_warm():
     assert platform.code_cached(request)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda env: RattrapPlatform(env),
+        lambda env: RattrapPlatform(env, optimized=False),
+        VMCloudPlatform,
+    ],
+    ids=["rattrap", "rattrap-wo", "vm"],
+)
+def test_cached_cold_estimate_equals_a_fresh_probe(make):
+    env = Environment()
+    platform = make(env)
+    plans = generate_inflow(CHESS_GAME, devices=2, requests_per_device=1, seed=0)
+    first, second = (plan.request for plan in plans)
+    probe = platform.make_runtime("probe", first)
+    fresh = probe.boot_sequence.idle_duration_s
+    # Probed once, then answered from the cache for every device.
+    assert platform.expected_preparation_s(first) == fresh
+    assert platform.expected_preparation_s(second) == fresh
+    assert platform.expected_preparation_s(first) == fresh
+    # A warm runtime still answers with the warm dispatch cost.
+    env.run(until=platform.submit(first, make_link("lan-wifi")))
+    assert platform.expected_preparation_s(first) == platform.dispatcher.warm_dispatch_s
+    assert platform.expected_preparation_s(second) == fresh
+
+
 def test_vm_platform_estimates():
     env = Environment()
     platform = VMCloudPlatform(env)
@@ -215,6 +241,58 @@ def test_deadline_validation():
     with pytest.raises(ValueError):
         env.run(until=env.process(
             replay_with_deadline(env, platform, plans, devices, 0.0)))
+
+
+@pytest.mark.parametrize("profile", [CHESS_GAME, LINPACK, OCR], ids=lambda p: p.name)
+def test_deadline_client_survives_aborted_code_uploads_on_rattrap(profile):
+    """The deadline client on Rattrap over 3g: aborting the request that
+    carries an app's first code upload used to crash the followers that
+    skipped the upload (``CodeUploadAborted`` escaping the client, or
+    ``KeyError: no preserved code``).  Now every request ends offloaded
+    or run locally."""
+    from repro.offload.client import replay_with_deadline
+
+    early = 0
+    for deadline in (3.0, 4.0, 5.0, 6.0, 8.0):
+        for seed in (0, 1, 2):
+            env = Environment()
+            platform = RattrapPlatform(env)
+            plans = generate_inflow(profile, devices=3, requests_per_device=3, seed=seed)
+            devices = {
+                f"device-{i}": MobileDevice(f"device-{i}", make_link("3g"))
+                for i in range(3)
+            }
+            results = env.run(until=env.process(
+                replay_with_deadline(env, platform, plans, devices, deadline)))
+            assert len(results) == 9
+            for r in results:
+                assert r.deadline_aborted == r.executed_locally
+                if r.deadline_aborted:
+                    # Never later than the deadline plus the local run.
+                    bound = deadline + r.local_time
+                    assert r.response_time <= bound + 1e-9
+                    early += r.response_time < bound - 1e-9
+    # Some offloads died with their carrier before the deadline and
+    # fell back to the handset at once.
+    assert early > 0
+
+
+def test_follower_without_upload_or_preserved_code_gets_upload_aborted():
+    from repro.faults.errors import CodeUploadAborted
+    from repro.offload import OffloadRequest
+
+    env = Environment()
+    platform = RattrapPlatform(env)
+    carrier = OffloadRequest(0, "d0", "chess", CHESS_GAME)
+    follower = OffloadRequest(1, "d1", "chess", CHESS_GAME)
+    runtime = platform.make_runtime("probe", carrier)
+    assert platform.code_needed(carrier, runtime)
+    assert not platform.code_needed(follower, runtime)  # rides the upload
+    platform.on_request_failed(carrier, RuntimeError("carrier died"))
+    wait = env.process(platform.await_code_upload(follower))
+    wait.defused = True
+    env.run()
+    assert isinstance(wait.exception, CodeUploadAborted)
 
 
 class _PacedPlatform:

@@ -125,6 +125,62 @@ def _server():
     return CloudServer(env)
 
 
+def _owned_by_scan(db, device):
+    """Reference for ``by_device``: a scan in registration order."""
+    return [r for r in db.all_records() if r.owner_device == device]
+
+
+def test_db_by_device_keeps_registration_order():
+    server = _server()
+    db = ContainerDB()
+    owners = ["d0", "d1", "d0", "", "d0"]
+    recs = [
+        db.register(AndroidVM(server, db.new_cid()), owner_device=o, now=1.0)
+        for o in owners
+    ]
+    assert db.by_device("d0") == [recs[0], recs[2], recs[4]]
+    db.unregister(recs[2].cid)
+    assert db.by_device("d0") == [recs[0], recs[4]]
+    db.unregister(recs[2].cid)  # idempotent
+    db.unregister(recs[1].cid)
+    assert db.by_device("d1") == []
+    # Re-registering a runtime puts it last, as a fresh registration.
+    again = db.register(recs[2].runtime, owner_device="d0", now=2.0)
+    assert db.by_device("d0") == [recs[0], recs[4], again]
+    for device in ("d0", "d1", "", "d9"):
+        assert db.by_device(device) == _owned_by_scan(db, device)
+    # The returned list is a copy: editing it leaves the index alone.
+    db.by_device("d0").clear()
+    assert len(db.by_device("d0")) == 3
+
+
+def test_db_by_device_across_migration():
+    from repro.network import make_link
+    from repro.offload import OffloadRequest
+    from repro.platform import MigrationManager, RattrapPlatform
+    from repro.workloads import CHESS_GAME
+
+    env = Environment()
+    src, dst = RattrapPlatform(env), RattrapPlatform(env)
+    link = make_link("lan-wifi")
+    served = env.run(until=src.submit(OffloadRequest(0, "d0", "chess", CHESS_GAME), link))
+    env.run(until=dst.submit(OffloadRequest(1, "d0", "chess", CHESS_GAME), link))
+    [before] = dst.db.by_device("d0")
+    record = src.db.get(served.executed_on)
+    report = env.run(until=env.process(MigrationManager().migrate(record, src, dst)))
+    moved = dst.db.get(report.new_cid)
+    # Migration re-registers under the same owner: last in the order.
+    assert dst.db.by_device("d0") == [before, moved]
+    # The stopped source record stays listed until it is unregistered.
+    assert src.db.by_device("d0") == [record]
+    src.db.unregister(record.cid)
+    assert src.db.by_device("d0") == []
+    for db in (src.db, dst.db):
+        assert db.by_device("d0") == _owned_by_scan(db, "d0")
+    # The dispatcher takes the first live record of the device.
+    assert dst.dispatcher._record_for_key("d0") is before
+
+
 def test_db_register_and_queries():
     server = _server()
     db = ContainerDB()
