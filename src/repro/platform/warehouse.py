@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Set
 
 from ..obs import metrics_of
@@ -22,6 +23,7 @@ from ..obs import metrics_of
 __all__ = ["CacheEntry", "AppWarehouse"]
 
 
+@lru_cache(maxsize=1024)
 def _reference_of(app_id: str, operation: str = "offload") -> str:
     """The wire `Reference` for an offloaded operation (stable hash)."""
     return hashlib.sha1(f"{app_id}:{operation}".encode()).hexdigest()[:8]
